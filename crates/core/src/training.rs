@@ -27,7 +27,7 @@
 //! without oversubscription: each member job owns a private [`Workspace`]
 //! (no shared scratch, no locks), and the vendored rayon shim runs nested
 //! pipelines inline on its workers, so a machine-wide member fan-out
-//! never multiplies into a kernel-level spawn storm.
+//! never multiplies into kernel-level oversubscription.
 
 use std::time::Instant;
 

@@ -3,7 +3,7 @@
 use mn_tensor::{ops, Tensor, Workspace};
 
 use crate::layer::Mode;
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_ws;
 use crate::network::Network;
 
 /// Fraction of predictions that differ from the labels, in `[0, 1]`.
@@ -79,19 +79,40 @@ pub struct Evaluation {
 ///
 /// Panics if `labels` length does not match the example count or is zero.
 pub fn evaluate(net: &mut Network, x: &Tensor, labels: &[usize], batch_size: usize) -> Evaluation {
+    evaluate_with(net, x, labels, batch_size, &mut Workspace::new())
+}
+
+/// [`evaluate`] staging every mini-batch, activation and loss buffer in a
+/// [`Workspace`] — the train loop passes its own, so the per-epoch
+/// validation pass reuses the training step's buffers.
+///
+/// # Panics
+///
+/// Same conditions as [`evaluate`].
+pub fn evaluate_with(
+    net: &mut Network,
+    x: &Tensor,
+    labels: &[usize],
+    batch_size: usize,
+    ws: &mut Workspace,
+) -> Evaluation {
     let n = x.shape().dim(0);
     assert_eq!(labels.len(), n, "labels length mismatch");
     assert!(n > 0, "cannot evaluate on an empty set");
     let bs = batch_size.max(1);
+    let row = x.len() / n;
     let mut total_loss = 0.0f64;
     let mut wrong = 0usize;
     let mut start = 0;
     while start < n {
         let end = (start + bs).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let xb = gather_examples(x, &idx);
-        let logits = net.forward(&xb, Mode::Eval);
-        let (loss, _) = softmax_cross_entropy(&logits, &labels[start..end]);
+        let mut xb = ws.acquire_uninit(x.shape().with_dim(0, end - start));
+        xb.data_mut()
+            .copy_from_slice(&x.data()[start * row..end * row]);
+        let logits = net.forward_with(&xb, Mode::Eval, ws);
+        ws.release(xb);
+        let (loss, grad) = softmax_cross_entropy_ws(&logits, &labels[start..end], ws);
+        ws.release(grad);
         total_loss += loss as f64 * (end - start) as f64;
         let preds = ops::argmax_rows(&logits);
         wrong += preds
@@ -99,6 +120,7 @@ pub fn evaluate(net: &mut Network, x: &Tensor, labels: &[usize], batch_size: usi
             .zip(&labels[start..end])
             .filter(|(p, l)| p != l)
             .count();
+        ws.release(logits);
         start = end;
     }
     Evaluation {

@@ -26,7 +26,7 @@ use rand::SeedableRng;
 
 use crate::layer::Mode;
 use crate::loss::softmax_cross_entropy_ws;
-use crate::metrics::{evaluate, gather_examples_into, Evaluation};
+use crate::metrics::{evaluate_with, gather_examples_into, Evaluation};
 use crate::network::Network;
 use crate::optim::Sgd;
 use crate::schedule::LrSchedule;
@@ -174,12 +174,14 @@ pub fn train(
 
 /// [`train`] staging every per-step buffer — mini-batch gather, forward
 /// activations, loss gradient, backward gradients, layer caches and
-/// kernel scratch — in the caller's [`Workspace`].
+/// kernel scratch — and the per-epoch validation pass in the caller's
+/// [`Workspace`].
 ///
-/// After the first step of the first epoch the workspace reaches its
-/// high-water set of buffers and a steady-state training step performs no
-/// heap allocation (the optimizer's velocity buffers persist inside
-/// [`Sgd`]). Callers that train many networks (the ensemble trainer's
+/// After the first steps the workspace holds its high-water set of
+/// buffers: a steady-state training step reuses every activation,
+/// gradient and scratch buffer (the optimizer's velocity buffers persist
+/// inside [`Sgd`]) and allocates only a fixed count of small bookkeeping
+/// buffers that does not grow with the batch. Callers that train many networks (the ensemble trainer's
 /// per-worker jobs) pass a retained workspace so the pool survives across
 /// member fine-tunes of equal geometry.
 ///
@@ -239,7 +241,7 @@ pub fn train_with(
             seen += chunk.len();
             steps += 1;
         }
-        let val = evaluate(net, x_val, y_val, cfg.batch_size);
+        let val = evaluate_with(net, x_val, y_val, cfg.batch_size, ws);
         epochs.push(EpochStats {
             epoch,
             train_loss: if seen > 0 {
@@ -267,7 +269,7 @@ pub fn train_with(
     }
 
     net.clear_caches();
-    let final_val = evaluate(net, x_val, y_val, cfg.batch_size);
+    let final_val = evaluate_with(net, x_val, y_val, cfg.batch_size, ws);
     TrainReport {
         epochs,
         wall_secs: start.elapsed().as_secs_f64(),
@@ -306,7 +308,7 @@ mod tests {
         let (x_val, y_val) = toy_data(60, 2);
         let arch = Architecture::mlp("m", InputSpec::new(3, 4, 4), 3, vec![16]);
         let mut net = Network::seeded(&arch, 3);
-        let before = evaluate(&mut net, &x_val, &y_val, 32);
+        let before = crate::metrics::evaluate(&mut net, &x_val, &y_val, 32);
         let cfg = TrainConfig {
             max_epochs: 15,
             patience: 5,

@@ -4,10 +4,11 @@
 //!
 //! Centralizing the dispatch keeps every kernel's policy identical:
 //! degenerate work (empty output or zero-sized chunks, legal now that
-//! shapes may have zero extents) is a no-op, single-chunk or
-//! not-worthwhile work runs inline, and everything else fans out across
-//! rayon workers. Chunk boundaries never depend on the thread count, so
-//! either path produces bitwise-identical results.
+//! shapes may have zero extents) is a no-op, not-worthwhile work runs
+//! inline, and everything else goes to the rayon pool (which itself runs
+//! single-chunk work, or work with one thread available, inline). Chunk
+//! boundaries never depend on the thread count, so either path produces
+//! bitwise-identical results.
 //!
 //! The module is public: the `mn-nn` training layer drives its own batch
 //! loops (batch-norm backward, the fused SGD step) through the same
@@ -18,8 +19,8 @@ use rayon::prelude::*;
 /// Runs `f(chunk_index, chunk)` over fixed-size chunks of `data`.
 ///
 /// `parallel_worthwhile` is the caller's cost estimate (e.g. "enough
-/// multiply-adds to amortize a worker spawn"); the helper additionally
-/// requires more than one chunk and more than one available thread.
+/// multiply-adds to amortize waking a pool worker"); the pool runs the
+/// chunks inline anyway when there is only one, or only one thread.
 pub fn for_each_chunk(
     data: &mut [f32],
     chunk: usize,
@@ -29,8 +30,7 @@ pub fn for_each_chunk(
     if data.is_empty() || chunk == 0 {
         return;
     }
-    let items = data.len().div_ceil(chunk);
-    if items <= 1 || !parallel_worthwhile || rayon::current_num_threads() <= 1 {
+    if !parallel_worthwhile {
         for (i, c) in data.chunks_mut(chunk).enumerate() {
             f(i, c);
         }
@@ -53,8 +53,7 @@ pub fn for_each_chunk_zip(
     if data.is_empty() || chunk == 0 {
         return;
     }
-    let items = data.len().div_ceil(chunk);
-    if items <= 1 || !parallel_worthwhile || rayon::current_num_threads() <= 1 {
+    if !parallel_worthwhile {
         for (i, (c, a)) in data
             .chunks_mut(chunk)
             .zip(aux.chunks_mut(chunk))
@@ -90,8 +89,7 @@ pub fn for_each_chunk3(
     if a.is_empty() || chunk == 0 {
         return;
     }
-    let items = a.len().div_ceil(chunk);
-    if items <= 1 || !parallel_worthwhile || rayon::current_num_threads() <= 1 {
+    if !parallel_worthwhile {
         for (i, ((ca, cb), cc)) in a
             .chunks_mut(chunk)
             .zip(b.chunks_mut(chunk))

@@ -22,7 +22,7 @@ use crate::chunking::for_each_chunk;
 use crate::Tensor;
 
 /// Below this many multiply-adds a kernel runs on the calling thread
-/// rather than fanning out (spawn overhead would dominate).
+/// rather than fanning out (the hand-off to pool workers would dominate).
 const PARALLEL_MAC_THRESHOLD: usize = 128 * 1024;
 
 /// Output spatial extent of a stride-1 convolution.

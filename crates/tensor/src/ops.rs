@@ -15,7 +15,9 @@
 //!    identical for all three products.
 //! 2. **Pack A per row tile.** Each [`MR`]-row tile of the left operand is
 //!    repacked into a `[k × MR]` panel so the micro-kernel reads both
-//!    operands as unit-stride streams.
+//!    operands as unit-stride streams. A band's panels are staged in
+//!    per-thread scratch that persists across calls, so packing A
+//!    allocates nothing in steady state.
 //! 3. **Micro-kernel.** An `MR × NR` accumulator tile lives entirely in
 //!    registers across the whole `k` loop; each step performs
 //!    `MR · NR` fused multiply-adds against one packed row of A and one
@@ -50,7 +52,8 @@ pub const NR: usize = 16;
 pub const BAND_ROWS: usize = 10 * 16;
 
 /// Below this many multiply-adds the whole product runs on the calling
-/// thread: spawning workers would cost more than the arithmetic.
+/// thread: handing bands to pool workers would cost more than the
+/// arithmetic.
 const PARALLEL_FLOP_THRESHOLD: usize = 128 * 1024;
 
 pub mod reference {
@@ -321,8 +324,19 @@ fn gemm_raw(
     }
 }
 
+thread_local! {
+    /// Per-thread packed-A staging for [`gemm_driver`]'s row bands: grown
+    /// to the largest band the thread has packed and never freed. The
+    /// threads that run bands (callers and the vendored rayon pool's
+    /// workers) live for the whole process, so after warm-up no band
+    /// allocates. `pack_a_tile` writes every element the micro-kernel
+    /// reads, so reuse needs no zeroing.
+    static A_BAND: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// The shared GEMM driver: writes `C = op(A) · op(B)` into `c`, which must
 /// hold `m * n` elements. Every element of `c` is overwritten.
+// mn-lint: hot-path
 fn gemm_driver(
     a: &[f32],
     a_shape: AShape,
@@ -357,34 +371,40 @@ fn gemm_driver(
     // below is then a branch on a `Copy` enum. Backends are bitwise
     // identical (see `crate::simd`), so dispatch cannot affect results.
     let backend = crate::simd::active();
-    let band = |cband: &mut [f32], band_idx: usize| {
+    // Every band of this product fits in the scratch of its largest band,
+    // so a thread's scratch size never depends on which bands it claimed.
+    let scratch_len = chunk_rows.min(m.div_ceil(MR) * MR) * k;
+    crate::chunking::for_each_chunk(c, chunk_rows * n, worthwhile, |band_idx, cband| {
         let i_base = band_idx * chunk_rows;
         let band_rows = cband.len() / n;
         let tiles = band_rows.div_ceil(MR);
-        // Pack the band's A tiles once; the j-panel loop then runs outermost
-        // so each 16-or-so-KB B panel stays L1-resident across every tile.
-        let mut a_band = vec![0.0f32; tiles * k * MR];
-        for (t, a_panel) in a_band.chunks_mut(k * MR).enumerate() {
-            pack_a_tile(a_panel, a, a_shape, m, k, i_base + t * MR);
-        }
-        for jp in 0..panels {
-            let j0 = jp * NR;
-            let w = NR.min(n - j0);
-            let b_panel = &b_packed[jp * k * NR..(jp + 1) * k * NR];
-            for (t, a_panel) in a_band.chunks(k * MR).enumerate() {
-                let it = t * MR;
-                let rows = MR.min(band_rows - it);
-                let mut acc = [0.0f32; MR * NR];
-                crate::simd::microkernel(backend, k, a_panel, b_panel, &mut acc);
-                for r in 0..rows {
-                    cband[(it + r) * n + j0..(it + r) * n + j0 + w]
-                        .copy_from_slice(&acc[r * NR..r * NR + w]);
+        A_BAND.with_borrow_mut(|scratch| {
+            if scratch.len() < scratch_len {
+                scratch.resize(scratch_len, 0.0);
+            }
+            // Pack the band's A tiles once; the j-panel loop then runs
+            // outermost so each 16-or-so-KB B panel stays L1-resident
+            // across every tile.
+            let a_band = &mut scratch[..tiles * k * MR];
+            for (t, a_panel) in a_band.chunks_mut(k * MR).enumerate() {
+                pack_a_tile(a_panel, a, a_shape, m, k, i_base + t * MR);
+            }
+            for jp in 0..panels {
+                let j0 = jp * NR;
+                let w = NR.min(n - j0);
+                let b_panel = &b_packed[jp * k * NR..(jp + 1) * k * NR];
+                for (t, a_panel) in a_band.chunks(k * MR).enumerate() {
+                    let it = t * MR;
+                    let rows = MR.min(band_rows - it);
+                    let mut acc = [0.0f32; MR * NR];
+                    crate::simd::microkernel(backend, k, a_panel, b_panel, &mut acc);
+                    for r in 0..rows {
+                        cband[(it + r) * n + j0..(it + r) * n + j0 + w]
+                            .copy_from_slice(&acc[r * NR..r * NR + w]);
+                    }
                 }
             }
-        }
-    };
-    crate::chunking::for_each_chunk(c, chunk_rows * n, worthwhile, |band_idx, cband| {
-        band(cband, band_idx)
+        })
     });
 }
 
@@ -684,10 +704,10 @@ pub fn add_row_bias(x: &mut Tensor, bias: &Tensor) {
         "bias shape {} does not match row width {n}",
         bias.shape()
     );
-    let bd: Vec<f32> = bias.data().to_vec();
+    let bd = bias.data();
     let xd = x.data_mut();
     for i in 0..m {
-        crate::simd::axpy(1.0, &bd, &mut xd[i * n..(i + 1) * n]);
+        crate::simd::axpy(1.0, bd, &mut xd[i * n..(i + 1) * n]);
     }
 }
 
