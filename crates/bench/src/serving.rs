@@ -226,8 +226,6 @@ pub struct ServingBenchResult {
     pub clients: usize,
     /// Micro-batcher bound: max examples per engine call.
     pub max_batch: usize,
-    /// Micro-batcher bound: max microseconds a batch stays open.
-    pub max_wait_us: u64,
     /// Requests per second of the single-shard configuration (the
     /// baseline; the full curve is in `shard_sweep`).
     pub throughput_rps: f64,
@@ -1039,7 +1037,6 @@ pub fn run(requests: usize, clients: usize, reps: usize) -> ServingBenchResult {
         requests: total as u64,
         clients,
         max_batch: cfg.max_batch,
-        max_wait_us: cfg.max_wait.as_micros() as u64,
         throughput_rps: baseline.throughput_rps,
         p50_ms: baseline.p50_ms,
         p99_ms: baseline.p99_ms,
@@ -1066,7 +1063,6 @@ mod tests {
             requests: 100,
             clients: 2,
             max_batch: 64,
-            max_wait_us: 2000,
             throughput_rps: 1234.5,
             p50_ms: 1.5,
             p99_ms: 9.75,

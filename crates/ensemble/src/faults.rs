@@ -45,7 +45,9 @@ pub mod sites {
     /// left poisoned and the popped request is dropped unanswered).
     pub const QUEUE_POP: &str = "serve.queue.pop";
     /// Fires on a worker after it closed a micro-batch, just before the
-    /// engine call — a panic here orphans the whole batch.
+    /// engine call — a panic here orphans the whole batch. The worker
+    /// already counts as evaluating here, so a stall keeps the other
+    /// shards' small batches open, as a slow eval would.
     pub const WORKER_EVAL: &str = "serve.worker.eval";
     /// Fires after an artifact file's bytes are read, before parsing —
     /// `Corrupt` flips a payload byte (the CRC must catch it), `Error`

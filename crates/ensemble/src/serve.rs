@@ -26,14 +26,19 @@
 //!   fails *immediately* with [`ServeError::Overloaded`] (carrying the
 //!   observed queue depth) instead of growing the queue without bound;
 //!   the server keeps serving and later submits succeed again.
-//! * **Dynamic micro-batching** — each shard coalesces queued requests
-//!   into one engine call, up to [`BatchingConfig::max_batch`] examples
-//!   or until [`BatchingConfig::max_wait`] has passed since the batch's
-//!   *first request was enqueued* (an idle server adds at most `max_wait`
-//!   latency, a busy one none — and a request that already sat in the
-//!   queue for the whole window is flushed immediately rather than
-//!   charged a second window). A batch also never stays open past the
-//!   earliest deadline among its admitted requests.
+//! * **Busy-aware micro-batching** — a shard that pops a request drains
+//!   whatever else is queued into the same engine call, up to
+//!   [`BatchingConfig::max_batch`] examples. It closes the batch as soon
+//!   as the queue is empty *and no other shard is inside an engine call*.
+//!   While another shard is evaluating, a batch below its share of a
+//!   full one (`max_batch / shards` examples) stays open until that
+//!   shard finishes, the batch reaches its share, or the earliest
+//!   deadline among its admitted requests arrives; from its share on, it
+//!   runs beside the other evals rather than after them. An idle
+//!   server therefore answers a lone request at once, while under load
+//!   batches grow to cover the other shards' eval time — the wait
+//!   follows observed shard busyness, not a tuned window. With one shard
+//!   the rule is natural batching: flush whenever the queue is empty.
 //! * **Per-request deadlines** — [`ServeClient::submit_with_deadline`]
 //!   (or a [`ServerBuilder::default_deadline`]) attaches a latency
 //!   budget. Expired requests are shed *in the queue* with a typed
@@ -115,7 +120,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -127,31 +132,17 @@ use mn_tensor::{ops, Tensor, Workspace};
 use crate::engine::{CascadePolicy, EnginePlan, EngineSession, ExecPolicy, InferenceEngine};
 use crate::faults;
 
-/// The coalescing deadline for a micro-batch whose first request was
-/// enqueued at `enqueued`, observed at `now`: the batch closes `max_wait`
-/// after the request *entered the queue*, not after the shard popped it —
-/// a request that already waited in the queue must not be charged a
-/// second full window (clamped to `now` so an overdue batch still
-/// collects whatever is already queued without waiting).
-fn coalesce_deadline(enqueued: Instant, now: Instant, max_wait: Duration) -> Instant {
-    (enqueued + max_wait).max(now)
-}
-
-/// Dynamic micro-batcher bounds (per shard).
+/// Dynamic micro-batcher bound (per shard). When a batch closes is not
+/// configured: see the module docs' busy-aware rule.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchingConfig {
     /// Maximum examples coalesced into one engine call.
     pub max_batch: usize,
-    /// Maximum time a batch stays open waiting for more requests.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchingConfig {
     fn default() -> Self {
-        BatchingConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(2),
-        }
+        BatchingConfig { max_batch: 64 }
     }
 }
 
@@ -267,8 +258,14 @@ pub struct Prediction {
     /// identical to direct engine evaluation.
     pub degraded: bool,
     /// End-to-end latency: submit to answer, including queueing and
-    /// batching delay.
+    /// batching delay. Always exactly `queue_wait + eval`.
     pub latency: Duration,
+    /// Submit until the micro-batch closed, just before the engine call:
+    /// time in the queue plus time coalescing (and any stall before the
+    /// eval starts).
+    pub queue_wait: Duration,
+    /// The engine call that answered this request's micro-batch.
+    pub eval: Duration,
     /// Size of the micro-batch this request was served in.
     pub batch: usize,
     /// Worker shard that served this request.
@@ -400,12 +397,22 @@ impl Request {
 ///
 /// Every lock acquisition recovers from poisoning: a worker that panics
 /// while holding the lock must not cascade its panic into every other
-/// shard and client. The state under the lock (a deque plus a flag) is
-/// structurally valid at every point a panic can unwind through, so the
-/// "poisoned" data is safe to keep serving from.
+/// shard and client. The state under the lock (a deque, a flag and a
+/// waiter count) is structurally valid at every point a panic can unwind
+/// through, so the "poisoned" data is safe to keep serving from.
+///
+/// The queue also tracks how many shards are inside an engine call
+/// ([`SharedQueue::begin_eval`]): that count is what keeps a shard's
+/// micro-batch open ([`SharedQueue::pop_coalescing`]).
 struct SharedQueue {
     state: Mutex<QueueState>,
+    /// Idle shards wait here for a request ([`SharedQueue::pop_blocking`]).
     available: Condvar,
+    /// Shards holding an open batch wait here for a request or for the
+    /// end of another shard's eval ([`SharedQueue::pop_coalescing`]).
+    coalesce: Condvar,
+    /// Shards currently inside an engine call.
+    evaluating: AtomicUsize,
     capacity: usize,
     rejected: AtomicU64,
 }
@@ -413,6 +420,20 @@ struct SharedQueue {
 struct QueueState {
     queue: VecDeque<Box<Request>>,
     open: bool,
+    /// Shards waiting on [`SharedQueue::coalesce`].
+    coalescing: usize,
+}
+
+/// A shard's mark of being inside an engine call, from
+/// [`SharedQueue::begin_eval`] until dropped — also when the eval
+/// unwinds, so a panicking shard cannot leave other shards coalescing
+/// behind an eval that ended.
+struct Evaluating<'a>(&'a SharedQueue);
+
+impl Drop for Evaluating<'_> {
+    fn drop(&mut self) {
+        self.0.end_eval();
+    }
 }
 
 impl SharedQueue {
@@ -421,8 +442,11 @@ impl SharedQueue {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(capacity.min(1024)),
                 open: true,
+                coalescing: 0,
             }),
             available: Condvar::new(),
+            coalesce: Condvar::new(),
+            evaluating: AtomicUsize::new(0),
             capacity,
             rejected: AtomicU64::new(0),
         }
@@ -447,7 +471,13 @@ impl SharedQueue {
             return Err(ServeError::Overloaded { queue_depth: depth });
         }
         state.queue.push_back(request);
+        let coalescing = state.coalescing > 0;
         drop(state);
+        // An open batch takes the request if it can; an idle shard is
+        // woken too in case that batch is already full.
+        if coalescing {
+            self.coalesce.notify_one();
+        }
         self.available.notify_one();
         Ok(())
     }
@@ -476,28 +506,58 @@ impl SharedQueue {
         }
     }
 
-    /// Non-blocking-ish pop with a deadline, used while a shard's batch
-    /// is open: returns `None` on deadline or when the queue is closed
-    /// and empty (the shard then flushes its open batch).
-    fn pop_until(&self, deadline: Instant) -> Option<Box<Request>> {
+    /// Pops the next request into a shard's open micro-batch, or returns
+    /// `None` when the batch should close: the queue is empty and either
+    /// no shard is inside an engine call or the batch may not wait
+    /// (`!hold`), the earliest admitted deadline `close` has passed, or
+    /// the queue is closed and drained. While another shard is
+    /// evaluating, an empty queue keeps a held batch open: the caller
+    /// sleeps until a request arrives, that eval ends, or `close`.
+    fn pop_coalescing(&self, close: Option<Instant>, hold: bool) -> Option<Box<Request>> {
         let mut state = self.lock_state();
         loop {
             if let Some(r) = state.queue.pop_front() {
                 faults::trigger(faults::sites::QUEUE_POP);
                 return Some(r);
             }
-            if !state.open {
+            // Read under the lock: a finishing shard decrements the count
+            // before it takes the lock to notify, so a batch that sees a
+            // busy shard here is woken when that shard finishes.
+            if !state.open || !hold || self.evaluating.load(Ordering::SeqCst) == 0 {
                 return None;
             }
             let now = Instant::now();
-            if now >= deadline {
+            if close.is_some_and(|c| now >= c) {
                 return None;
             }
-            let (guard, _timeout) = self
-                .available
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
+            state.coalescing += 1;
+            state = match close {
+                Some(c) => {
+                    self.coalesce
+                        .wait_timeout(state, c - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+                None => self.coalesce.wait(state).unwrap_or_else(|e| e.into_inner()),
+            };
+            state.coalescing -= 1;
+        }
+    }
+
+    /// Marks the calling shard as inside an engine call until the
+    /// returned guard drops.
+    fn begin_eval(&self) -> Evaluating<'_> {
+        self.evaluating.fetch_add(1, Ordering::SeqCst);
+        Evaluating(self)
+    }
+
+    /// Ends an eval: decrement first, then lock and wake the open
+    /// batches (see [`SharedQueue::pop_coalescing`] for why this order).
+    fn end_eval(&self) {
+        self.evaluating.fetch_sub(1, Ordering::SeqCst);
+        let coalescing = self.lock_state().coalescing > 0;
+        if coalescing {
+            self.coalesce.notify_all();
         }
     }
 
@@ -506,6 +566,7 @@ impl SharedQueue {
         state.open = false;
         drop(state);
         self.available.notify_all();
+        self.coalesce.notify_all();
     }
 
     /// Terminal failure path: closes the queue and answers everything
@@ -518,6 +579,7 @@ impl SharedQueue {
             state.queue.drain(..).collect()
         };
         self.available.notify_all();
+        self.coalesce.notify_all();
         for r in drained {
             let _ = r.reply.send(Err(ServeError::WorkerGone));
         }
@@ -742,9 +804,9 @@ impl PendingPrediction {
     }
 }
 
-/// Configures and starts a [`Server`]: shard count, queue bound, batching
-/// window, execution policy, deadlines, supervision, and brownout — all
-/// over one shared [`EnginePlan`].
+/// Configures and starts a [`Server`]: shard count, queue bound, batch
+/// size bound, execution policy, deadlines, supervision, and brownout —
+/// all over one shared [`EnginePlan`].
 pub struct ServerBuilder {
     plan: Arc<EnginePlan>,
     policy: ExecPolicy,
@@ -759,7 +821,7 @@ pub struct ServerBuilder {
 
 impl ServerBuilder {
     /// Starts from a shared plan with 1 shard, a 1024-request queue
-    /// bound, the default batching window, the plan's default policy, no
+    /// bound, the default batch bound, the plan's default policy, no
     /// default deadline, a restart budget of 4 with 10ms base backoff,
     /// and depth-triggered brownout disabled.
     pub fn new(plan: Arc<EnginePlan>) -> Self {
@@ -792,7 +854,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Per-shard micro-batching bounds.
+    /// Per-shard micro-batch bound.
     pub fn batching(mut self, cfg: BatchingConfig) -> Self {
         self.batching = cfg;
         self
@@ -1102,8 +1164,10 @@ fn shed_expired(request: &Request, stats: &ShardCounters) {
 
 // mn-lint: hot-path
 fn shard_loop(shard: usize, mut session: EngineSession, shared: &Shared) {
-    let cfg = shared.batching;
-    let max_batch = cfg.max_batch.max(1);
+    let max_batch = shared.batching.max_batch.max(1);
+    // A batch this large runs beside a busy shard instead of after it:
+    // holding it back would only serialize the shards' evals.
+    let share = max_batch.div_ceil(shared.stats.len());
     let input = session.plan().input_spec();
     let row = input.channels * input.height * input.width;
     let k = session.plan().num_classes();
@@ -1112,40 +1176,36 @@ fn shard_loop(shard: usize, mut session: EngineSession, shared: &Shared) {
     // `pop_blocking` returns None only when the queue is closed *and*
     // drained, so every admitted request is answered before exit.
     'serve: while let Some(first) = shared.queue.pop_blocking() {
-        let now = Instant::now();
         // In-queue deadline shedding: a request that expired while
         // queued gets its typed error before any eval work is done.
-        if first.expired(now) {
+        if first.expired(Instant::now()) {
             shed_expired(&first, stats);
             continue 'serve;
         }
-        // The coalescing window opened when `first` was *enqueued*, not
-        // now: a request that already waited out its window in the queue
-        // flushes immediately instead of paying `max_wait` twice. The
-        // window also never extends past the earliest deadline admitted
-        // into the batch.
-        let mut close = coalesce_deadline(first.enqueued, now, cfg.max_wait);
-        if let Some(d) = first.deadline {
-            close = close.min(d);
-        }
+        // Busy-aware coalescing: drain the queue; while another shard is
+        // evaluating and the batch is below its share, keep it open for
+        // more (see `SharedQueue::pop_coalescing`) — but never past the
+        // earliest deadline admitted into the batch.
+        let mut close = first.deadline;
         // mn-lint: allow(hot-path-alloc, reason = "one Vec per micro-batch, capacity <= max_batch; the batch is the product of this loop iteration, not steady-state churn, and it is consumed (into_iter) before the next pop")
         let mut batch = vec![first];
         while batch.len() < max_batch {
-            match shared.queue.pop_until(close) {
-                Some(r) => {
-                    if r.expired(Instant::now()) {
-                        shed_expired(&r, stats);
-                        continue;
-                    }
-                    if let Some(d) = r.deadline {
-                        close = close.min(d);
-                    }
-                    batch.push(r);
-                }
-                None => break,
+            let Some(r) = shared.queue.pop_coalescing(close, batch.len() < share) else {
+                break;
+            };
+            if r.expired(Instant::now()) {
+                shed_expired(&r, stats);
+                continue;
             }
+            if let Some(d) = r.deadline {
+                close = Some(close.map_or(d, |c| c.min(d)));
+            }
+            batch.push(r);
         }
 
+        // Busy from here to the end of the engine call: a stalled or
+        // panicking eval counts as one in progress.
+        let busy = shared.queue.begin_eval();
         faults::trigger(faults::sites::WORKER_EVAL);
 
         // One engine call for the whole micro-batch — under the brownout
@@ -1156,15 +1216,19 @@ fn shard_loop(shard: usize, mut session: EngineSession, shared: &Shared) {
         for (i, req) in batch.iter().enumerate() {
             xb.data_mut()[i * row..(i + 1) * row].copy_from_slice(req.example.data());
         }
+        let eval_start = Instant::now();
         let scored = if degraded {
             session.predict_scored_with(&xb, shared.brownout.policy)
         } else {
             session.predict_scored(&xb)
         };
-        ws.release(xb);
         let answered = Instant::now();
+        drop(busy);
+        ws.release(xb);
+        let eval = answered - eval_start;
         let labels = ops::argmax_rows(&scored.probs);
         for (i, req) in batch.into_iter().enumerate() {
+            let queue_wait = eval_start - req.enqueued;
             let prediction = Prediction {
                 // mn-lint: allow(hot-path-alloc, reason = "the probs row is handed across the reply channel and must outlive the workspace-owned batch tensor; one k-float Vec per request is the response payload itself")
                 probs: scored.probs.data()[i * k..(i + 1) * k].to_vec(),
@@ -1172,7 +1236,9 @@ fn shard_loop(shard: usize, mut session: EngineSession, shared: &Shared) {
                 uncertainty: scored.uncertainty[i],
                 escalated: scored.escalated[i],
                 degraded,
-                latency: answered - req.enqueued,
+                latency: queue_wait + eval,
+                queue_wait,
+                eval,
                 batch: b,
                 shard,
             };
@@ -1205,6 +1271,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    // Every test that starts a server holds `faults::scope()`: the
+    // failpoints are process-global, so a server in a concurrently
+    // running test could otherwise fire a fault another test armed.
+
     fn plan() -> Arc<EnginePlan> {
         let arch = Architecture::mlp("m", InputSpec::new(1, 2, 2), 3, vec![6]);
         let members: Vec<EnsembleMember> = (0..2)
@@ -1217,8 +1287,24 @@ mod tests {
         InferenceEngine::from_plan(plan())
     }
 
+    /// Polls `done` until it holds, failing the test after 5 s.
+    fn await_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Blocks until `site` has fired `n` times under the current fault
+    /// scope (a stall has begun once its site has fired).
+    fn await_fired(site: &str, n: u64) {
+        await_until(site, || faults::fired(site) >= n);
+    }
+
     #[test]
     fn serves_single_requests_with_latency_and_stats() {
+        let _faults = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let mut rng = StdRng::seed_from_u64(1);
         let mut pending = Vec::new();
@@ -1251,6 +1337,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_geometry_eagerly() {
+        let _faults = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let bad = Tensor::zeros([2, 2, 2]);
         assert!(matches!(
@@ -1267,6 +1354,7 @@ mod tests {
 
     #[test]
     fn accepts_three_d_and_unit_batch_examples() {
+        let _faults = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let a = server.submit(&Tensor::zeros([1, 2, 2])).unwrap();
         let b = server.submit(&Tensor::zeros([1, 1, 2, 2])).unwrap();
@@ -1277,6 +1365,7 @@ mod tests {
 
     #[test]
     fn shutdown_closes_outstanding_clients() {
+        let _faults = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let client = server.client();
         server.shutdown();
@@ -1288,41 +1377,165 @@ mod tests {
 
     #[test]
     fn micro_batching_coalesces_under_load() {
-        // A generous wait window plus a burst submitted before the first
-        // answer can complete must produce fewer engine calls than
-        // requests.
-        let server = Server::start(
-            engine(),
-            BatchingConfig {
-                max_batch: 32,
-                max_wait: Duration::from_millis(50),
-            },
+        // One shard, its first eval stalled: the burst submitted during
+        // the stall queues up and the next pop drains all of it into one
+        // engine call.
+        let scope = faults::scope();
+        scope.enable_times(
+            faults::sites::WORKER_EVAL,
+            FaultAction::Stall(Duration::from_millis(300)),
+            1,
         );
-        let mut pending = Vec::new();
-        for _ in 0..16 {
-            pending.push(server.submit(&Tensor::zeros([1, 2, 2])).unwrap());
-        }
-        for p in pending {
-            p.wait().unwrap();
+        let server = Server::start(engine(), BatchingConfig { max_batch: 32 });
+        let first = server.submit(&Tensor::zeros([1, 2, 2])).unwrap();
+        await_fired(faults::sites::WORKER_EVAL, 1);
+        let burst: Vec<_> = (0..15)
+            .map(|_| server.submit(&Tensor::zeros([1, 2, 2])).unwrap())
+            .collect();
+        assert_eq!(first.wait().unwrap().batch, 1);
+        for p in burst {
+            assert_eq!(p.wait().unwrap().batch, 15, "the burst lands in one batch");
         }
         let report = server.shutdown();
         assert_eq!(report.aggregate.requests, 16);
+        assert_eq!(report.aggregate.batches, 2);
+        assert_eq!(report.aggregate.max_batch_filled, 15);
+    }
+
+    #[test]
+    fn idle_sharded_server_answers_lone_request_alone() {
+        let _faults = faults::scope();
+        // Nothing else queued and no shard evaluating: the batch closes
+        // at once, with one request in it.
+        let server = Server::builder(plan()).shards(2).start();
+        for _ in 0..5 {
+            let got = server
+                .submit(&Tensor::zeros([1, 2, 2]))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(got.batch, 1);
+        }
+        let report = server.shutdown();
+        assert_eq!(report.aggregate.batches, 5);
+    }
+
+    #[test]
+    fn batch_stays_open_while_another_shard_evaluates() {
+        // Shard A stalls in its eval. Shard B pops the next request,
+        // finds the queue empty but A busy, and keeps its batch open: the
+        // request submitted later joins it, and B flushes once A is done.
+        let scope = faults::scope();
+        let stall = Duration::from_millis(200);
+        scope.enable_times(faults::sites::WORKER_EVAL, FaultAction::Stall(stall), 1);
+        let server = Server::builder(plan()).shards(2).start();
+        let x = Tensor::zeros([1, 2, 2]);
+        let r0 = server.submit(&x).unwrap();
+        await_fired(faults::sites::WORKER_EVAL, 1);
+        let r1 = server.submit(&x).unwrap();
+        // B has popped r1 and found the queue empty.
+        await_until("B to pop r1", || server.queue_depth() == 0);
+        let r2 = server.submit(&x).unwrap();
+        let (p0, p1, p2) = (r0.wait().unwrap(), r1.wait().unwrap(), r2.wait().unwrap());
+        assert_eq!(p0.batch, 1);
+        assert_eq!((p1.batch, p2.batch), (2, 2), "r1 and r2 share B's batch");
+        assert_eq!(p1.shard, p2.shard);
+        assert_ne!(p1.shard, p0.shard);
         assert!(
-            report.aggregate.batches < 16,
-            "expected coalescing, got {} batches",
-            report.aggregate.batches
+            p1.queue_wait >= Duration::from_millis(100),
+            "B flushed before A finished: {:?}",
+            p1.queue_wait
         );
-        assert!(report.aggregate.max_batch_filled > 1);
+        assert!(
+            p1.latency < stall + Duration::from_millis(300),
+            "B kept coalescing after A finished: {:?}",
+            p1.latency
+        );
+        let report = server.shutdown();
+        assert_eq!(report.aggregate.batches, 2);
+    }
+
+    #[test]
+    fn batch_holding_its_share_runs_beside_a_busy_shard() {
+        // Two shards, max_batch 4: a batch of 2 is its share. Shard A
+        // stalls in its eval; shard B's batch stops waiting for A once
+        // it holds two requests, and is answered while A still stalls.
+        let scope = faults::scope();
+        let stall = Duration::from_millis(500);
+        scope.enable_times(faults::sites::WORKER_EVAL, FaultAction::Stall(stall), 1);
+        let server = Server::builder(plan())
+            .shards(2)
+            .batching(BatchingConfig { max_batch: 4 })
+            .start();
+        let x = Tensor::zeros([1, 2, 2]);
+        let stalled = server.submit(&x).unwrap();
+        await_fired(faults::sites::WORKER_EVAL, 1);
+        let t0 = Instant::now();
+        let r1 = server.submit(&x).unwrap();
+        let r2 = server.submit(&x).unwrap();
+        let (p1, p2) = (r1.wait().unwrap(), r2.wait().unwrap());
+        assert!(
+            t0.elapsed() < Duration::from_millis(300),
+            "B waited for A: {:?}",
+            t0.elapsed()
+        );
+        assert_eq!((p1.batch, p2.batch), (2, 2));
+        assert_eq!(stalled.wait().unwrap().batch, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn panic_inside_eval_leaves_no_shard_coalescing() {
+        // The busy mark is released on unwind: after one shard dies
+        // inside its eval, a lone request is still answered instead of
+        // coalescing forever behind an eval that no longer runs.
+        let scope = faults::scope();
+        scope.enable_times(faults::sites::WORKER_EVAL, FaultAction::Panic, 1);
+        let server = Server::builder(plan())
+            .shards(2)
+            .restart_backoff(Duration::from_millis(1))
+            .start();
+        let x = Tensor::zeros([1, 2, 2]);
+        let orphan = server.submit(&x).unwrap();
+        assert_eq!(orphan.wait().unwrap_err(), ServeError::WorkerGone);
+        for _ in 0..3 {
+            let got = server
+                .submit(&x)
+                .unwrap()
+                .wait_timeout(Duration::from_secs(5))
+                .expect("a lone request is answered after a panicked eval");
+            assert_eq!(got.batch, 1);
+        }
+        let report = server.shutdown();
+        assert_eq!(report.worker_panics, 1);
+    }
+
+    #[test]
+    fn prediction_stages_sum_to_latency() {
+        // `queue_wait + eval == latency` exactly, and a stall before the
+        // engine call is charged to the queue wait, not to the eval.
+        let scope = faults::scope();
+        let stall = Duration::from_millis(100);
+        scope.enable_times(faults::sites::WORKER_EVAL, FaultAction::Stall(stall), 1);
+        let server = Server::builder(plan()).shards(1).start();
+        let x = Tensor::zeros([1, 2, 2]);
+        let stalled = server.submit(&x).unwrap().wait().unwrap();
+        let unstalled = server.submit(&x).unwrap().wait().unwrap();
+        for p in [&stalled, &unstalled] {
+            assert_eq!(p.queue_wait + p.eval, p.latency);
+        }
+        assert!(stalled.queue_wait >= stall, "{:?}", stalled.queue_wait);
+        assert!(stalled.eval < stall, "{:?}", stalled.eval);
+        assert!(unstalled.queue_wait < stall, "{:?}", unstalled.queue_wait);
+        server.shutdown();
     }
 
     #[test]
     fn sharded_server_answers_every_request() {
+        let _faults = faults::scope();
         let server = Server::builder(plan())
             .shards(3)
-            .batching(BatchingConfig {
-                max_batch: 4,
-                max_wait: Duration::from_micros(200),
-            })
+            .batching(BatchingConfig { max_batch: 4 })
             .start();
         assert_eq!(server.num_shards(), 3);
         let mut rng = StdRng::seed_from_u64(2);
@@ -1345,15 +1558,13 @@ mod tests {
 
     #[test]
     fn overload_rejects_typed_then_recovers() {
+        let _faults = faults::scope();
         // Tiny queue, small batches: flooding submits must hit the bound
         // with a typed Overloaded error...
         let server = Server::builder(plan())
             .shards(1)
             .queue_capacity(2)
-            .batching(BatchingConfig {
-                max_batch: 2,
-                max_wait: Duration::ZERO,
-            })
+            .batching(BatchingConfig { max_batch: 2 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
         let mut pending = Vec::new();
@@ -1392,10 +1603,7 @@ mod tests {
         let server = Server::builder(plan())
             .shards(2)
             .restart_backoff(Duration::from_millis(1))
-            .batching(BatchingConfig {
-                max_batch: 4,
-                max_wait: Duration::from_micros(200),
-            })
+            .batching(BatchingConfig { max_batch: 4 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
         // Sanity: the server works before the injected failure.
@@ -1496,30 +1704,12 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_deadline_anchors_at_enqueue_time() {
-        let t0 = Instant::now();
-        let wait = Duration::from_millis(10);
-        // Fresh request: the window runs from its enqueue time.
-        assert_eq!(coalesce_deadline(t0, t0, wait), t0 + wait);
-        // Popped mid-window: the remaining window, not a fresh one.
-        let now = t0 + Duration::from_millis(4);
-        assert_eq!(coalesce_deadline(t0, now, wait), t0 + wait);
-        // Popped after the window already expired in the queue: flush
-        // now, never wait again.
-        let late = t0 + Duration::from_millis(25);
-        assert_eq!(coalesce_deadline(t0, late, wait), late);
-    }
-
-    #[test]
     fn batching_deadline_does_not_double_charge_queued_requests() {
-        // Regression: the deadline used to be `Instant::now() + max_wait`
-        // at *pop* time, so a request that already sat in the queue paid
-        // its queue wait plus a second full window. Stall the (single)
-        // worker's first eval long enough for requests to age in the
-        // queue, then check the aged request is answered within ~one
-        // window of its submit, not two.
+        // Regression: a request that aged in the queue behind a busy
+        // shard must flush as soon as the shard frees, not wait out a
+        // fresh coalescing window on top. Stall the (single) worker's
+        // first eval long enough for requests to age in the queue.
         let scope = faults::scope();
-        let max_wait = Duration::from_millis(300);
         scope.enable_times(
             faults::sites::WORKER_EVAL,
             FaultAction::Stall(Duration::from_millis(250)),
@@ -1527,28 +1717,24 @@ mod tests {
         );
         let server = Server::builder(plan())
             .shards(1)
-            .batching(BatchingConfig {
-                max_batch: 2,
-                max_wait,
-            })
+            .batching(BatchingConfig { max_batch: 2 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
-        // r1 is popped immediately; r2 fills its batch (max_batch 2),
-        // whose eval then stalls 250ms while r3 ages in the queue.
+        // r1 is popped immediately and flushed alone; its eval stalls
+        // 250ms while r2 and r3 age in the queue.
         let r1 = server.submit(&x).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        await_fired(faults::sites::WORKER_EVAL, 1);
         let r2 = server.submit(&x).unwrap();
         let r3 = server.submit(&x).unwrap();
-        // After the stall: r3 opens the next batch alone at ~250ms of
-        // age — its window expired in the queue, so it must flush nearly
-        // immediately. The old code waited a fresh 300ms window on top
-        // (~570ms total latency).
+        // After the stall: r2 and r3 fill the next batch (max_batch 2)
+        // and flush at once.
         let _ = r1.wait().unwrap();
         let _ = r2.wait().unwrap();
         let p3 = r3.wait().unwrap();
+        assert_eq!(p3.batch, 2);
         assert!(
             p3.latency < Duration::from_millis(450),
-            "queued request was charged a second window: {:?}",
+            "queued request was charged a second wait: {:?}",
             p3.latency
         );
         server.shutdown();
@@ -1567,10 +1753,7 @@ mod tests {
         );
         let server = Server::builder(plan())
             .shards(1)
-            .batching(BatchingConfig {
-                max_batch: 1,
-                max_wait: Duration::ZERO,
-            })
+            .batching(BatchingConfig { max_batch: 1 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
         let r0 = server.submit(&x).unwrap();
@@ -1597,10 +1780,7 @@ mod tests {
         let server = Server::builder(plan())
             .shards(1)
             .default_deadline(Duration::from_millis(10))
-            .batching(BatchingConfig {
-                max_batch: 1,
-                max_wait: Duration::ZERO,
-            })
+            .batching(BatchingConfig { max_batch: 1 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
         // Occupy the worker so the next submit ages past its default
@@ -1615,20 +1795,26 @@ mod tests {
 
     #[test]
     fn coalescing_never_holds_batch_past_earliest_deadline() {
-        // A long batching window (500ms) must be cut short by an
-        // admitted request's much nearer deadline: the whole batch
-        // flushes at ~the deadline, not at the window.
+        // Shard A stalls 500ms in its eval, so shard B keeps its batch
+        // open behind it — until an admitted request's much nearer
+        // deadline arrives: B flushes at ~that deadline, not when A is
+        // done.
+        let scope = faults::scope();
+        scope.enable_times(
+            faults::sites::WORKER_EVAL,
+            FaultAction::Stall(Duration::from_millis(500)),
+            1,
+        );
         let server = Server::builder(plan())
-            .shards(1)
-            .batching(BatchingConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(500),
-            })
+            .shards(2)
+            .batching(BatchingConfig { max_batch: 8 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
+        let stalled = server.submit(&x).unwrap();
+        await_fired(faults::sites::WORKER_EVAL, 1);
         let t0 = Instant::now();
         let slow = server.submit(&x).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        await_until("B to pop the slow request", || server.queue_depth() == 0);
         let _hurried = server.submit_with_deadline(&x, Duration::from_millis(40));
         let got = slow.wait().unwrap();
         let elapsed = t0.elapsed();
@@ -1637,6 +1823,8 @@ mod tests {
             "deadline did not pull the batch close in: {elapsed:?} (latency {:?})",
             got.latency
         );
+        assert_eq!(got.batch, 2, "the hurried request joined B's open batch");
+        stalled.wait().unwrap();
         server.shutdown();
     }
 
@@ -1680,13 +1868,12 @@ mod tests {
                 low_water: 1,
                 ..BrownoutConfig::default()
             })
-            .batching(BatchingConfig {
-                max_batch: 2,
-                max_wait: Duration::from_millis(5),
-            })
+            .batching(BatchingConfig { max_batch: 2 })
             .start();
         let x = Tensor::zeros([1, 2, 2]);
-        let pending: Vec<_> = (0..10).map(|_| server.submit(&x).unwrap()).collect();
+        let mut pending = vec![server.submit(&x).unwrap()];
+        await_fired(faults::sites::WORKER_EVAL, 1);
+        pending.extend((0..9).map(|_| server.submit(&x).unwrap()));
         let mut degraded = 0;
         let mut full = 0;
         for p in pending {
@@ -1714,6 +1901,7 @@ mod tests {
 
     #[test]
     fn submit_rejects_non_finite_examples() {
+        let _faults = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let x = Tensor::from_vec([1, 2, 2], vec![0.0, bad, 0.0, 0.0]);
@@ -1738,6 +1926,7 @@ mod tests {
 
     #[test]
     fn cascade_server_reports_uncertainty_and_escalation() {
+        let _faults = faults::scope();
         // Threshold 1.0: (almost) everything trusts the gate. The point
         // here is the surface, not the exit rate: predictions carry
         // uncertainty/escalated and stats count escalations per shard.
@@ -1786,18 +1975,21 @@ mod tests {
     #[test]
     fn shutdown_drains_admitted_requests() {
         // Requests admitted before shutdown must be answered, not dropped
-        // with Closed — even with a batching window that would otherwise
-        // hold them open.
+        // with Closed — even those held in a batch that is coalescing
+        // behind a stalled shard when shutdown lands.
+        let scope = faults::scope();
+        scope.enable_times(
+            faults::sites::WORKER_EVAL,
+            FaultAction::Stall(Duration::from_millis(100)),
+            1,
+        );
         let server = Server::builder(plan())
             .shards(2)
-            .batching(BatchingConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(200),
-            })
+            .batching(BatchingConfig { max_batch: 64 })
             .start();
-        let pending: Vec<_> = (0..12)
-            .map(|_| server.submit(&Tensor::zeros([1, 2, 2])).unwrap())
-            .collect();
+        let mut pending = vec![server.submit(&Tensor::zeros([1, 2, 2])).unwrap()];
+        await_fired(faults::sites::WORKER_EVAL, 1);
+        pending.extend((0..11).map(|_| server.submit(&Tensor::zeros([1, 2, 2])).unwrap()));
         let report = server.shutdown();
         assert_eq!(report.aggregate.requests, 12, "shutdown drained the queue");
         for p in pending {

@@ -4,8 +4,8 @@
 //! The codebase rests on invariants `rustc` and `clippy` cannot see:
 //! `unsafe` SIMD kernels whose soundness arguments live in comments, a
 //! string-named fault-injection registry, a serve path whose only
-//! sanctioned panic pattern is poison recovery, CI regression tests
-//! invoked *by name*, and measured zero-alloc hot paths. Each of those
+//! sanctioned panic pattern is poison recovery, and measured zero-alloc
+//! hot paths. Each of those
 //! contracts is one careless edit away from silently dissolving —
 //! so, like rustc's `tidy`, this crate parses the source tree itself
 //! and fails CI on drift.
@@ -98,6 +98,6 @@ pub fn run(root: &Path, opts: &Options) -> std::io::Result<Report> {
     Ok(Report {
         violations,
         suppressed,
-        files_scanned: tree.rust_files.len() + tree.workflow_files.len(),
+        files_scanned: tree.rust_files.len(),
     })
 }

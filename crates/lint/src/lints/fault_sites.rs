@@ -233,8 +233,6 @@ pub fn trigger(name: &str) {}
         let tree = Tree {
             root: std::path::PathBuf::new(),
             rust_files: parsed,
-            workflow_files: Vec::new(),
-            packages: Vec::new(),
         };
         lint.finish(&tree, &mut out);
         out

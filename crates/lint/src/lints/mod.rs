@@ -2,7 +2,7 @@
 //!
 //! A [`Lint`] sees every Rust file once (`check_file`), then gets a
 //! whole-tree `finish` call for cross-file conclusions (declared
-//! fault sites vs. their uses, CI workflow names vs. the test tree).
+//! fault sites vs. their uses).
 //! Violations are emitted eagerly; the driver applies `mn-lint: allow`
 //! suppression afterwards, so lints stay oblivious to markers.
 //!
@@ -15,7 +15,6 @@ use crate::report::Violation;
 use crate::source::SourceFile;
 use crate::walk::Tree;
 
-mod ci_drift;
 mod fault_sites;
 mod hot_path;
 mod no_panic;
@@ -42,7 +41,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(safety_comment::SafetyComment),
         Box::new(no_panic::NoPanicInServe),
         Box::new(fault_sites::FaultSiteNames::default()),
-        Box::new(ci_drift::CiTestDrift),
         Box::new(hot_path::HotPathAlloc),
         Box::new(unsafe_inventory::UnsafeInventory),
     ]

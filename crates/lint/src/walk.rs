@@ -1,50 +1,20 @@
 //! File-tree walker: collects the lintable surface of the workspace.
 //!
-//! In scope: `src/`, `tests/`, every `crates/*/src` and `crates/*/tests`,
-//! and `.github/workflows` (for the CI drift lint). Out of scope:
-//! `vendor/` (third-party stand-ins with their own conventions, see
-//! vendor/README.md), `target/`, and `examples/` (smoke-run by CI, not
-//! part of the serving stack's invariant surface).
+//! In scope: `src/`, `tests/`, and every `crates/*/src` and
+//! `crates/*/tests`. Out of scope: `vendor/` (third-party stand-ins with
+//! their own conventions, see vendor/README.md), `target/`, and
+//! `examples/` (smoke-run by CI, not part of the serving stack's
+//! invariant surface).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::source::SourceFile;
 
-/// A non-Rust file the lints read as raw text (CI workflow YAML).
-pub struct RawFile {
-    pub rel_path: String,
-    pub text: String,
-}
-
-/// A workspace package: its manifest name and repo-relative directory.
-pub struct Package {
-    pub name: String,
-    /// `""` for the workspace-root package.
-    pub dir: String,
-}
-
 /// Everything a lint run can look at.
 pub struct Tree {
     pub root: PathBuf,
     pub rust_files: Vec<SourceFile>,
-    pub workflow_files: Vec<RawFile>,
-    pub packages: Vec<Package>,
-}
-
-impl Tree {
-    /// The repo-relative paths of every `tests/<name>.rs` integration
-    /// suite file, `/`-separated.
-    pub fn integration_suites(&self) -> Vec<&str> {
-        self.rust_files
-            .iter()
-            .map(|f| f.rel_path.as_str())
-            .filter(|p| {
-                p.strip_suffix(".rs")
-                    .is_some_and(|stem| stem.contains("tests/") || stem.starts_with("tests/"))
-            })
-            .collect()
-    }
 }
 
 /// Loads the lintable tree under `root`. Missing directories are simply
@@ -77,23 +47,9 @@ pub fn load_tree(root: &Path) -> std::io::Result<Tree> {
         rust_files.push(SourceFile::parse(rel(root, &path), text));
     }
 
-    let mut workflow_paths = Vec::new();
-    collect_files(&root.join(".github/workflows"), "yml", &mut workflow_paths)?;
-    collect_files(&root.join(".github/workflows"), "yaml", &mut workflow_paths)?;
-    workflow_paths.sort();
-    let mut workflow_files = Vec::new();
-    for path in workflow_paths {
-        workflow_files.push(RawFile {
-            rel_path: rel(root, &path),
-            text: fs::read_to_string(&path)?,
-        });
-    }
-
     Ok(Tree {
-        packages: find_packages(root),
         root: root.to_path_buf(),
         rust_files,
-        workflow_files,
     })
 }
 
@@ -121,50 +77,4 @@ fn rel(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Reads package names from the root and `crates/*` manifests. A flat
-/// line scan is enough: manifests in this workspace keep `name = "..."`
-/// in `[package]`, and `[workspace.dependencies]` entries are inline
-/// tables that never put `name =` at line start.
-fn find_packages(root: &Path) -> Vec<Package> {
-    let mut out = Vec::new();
-    let mut manifest_dirs = vec![root.to_path_buf()];
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        let mut dirs: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        manifest_dirs.extend(dirs);
-    }
-    for dir in manifest_dirs {
-        let Ok(text) = fs::read_to_string(dir.join("Cargo.toml")) else {
-            continue;
-        };
-        let mut in_package = false;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.starts_with('[') {
-                in_package = line == "[package]";
-            } else if in_package {
-                if let Some(rest) = line.strip_prefix("name") {
-                    let name = rest
-                        .trim_start()
-                        .strip_prefix('=')
-                        .map(|v| v.trim().trim_matches('"'))
-                        .unwrap_or("");
-                    if !name.is_empty() {
-                        out.push(Package {
-                            name: name.to_string(),
-                            dir: rel(root, &dir),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    out
 }

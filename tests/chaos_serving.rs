@@ -113,10 +113,7 @@ proptest! {
         let server = Server::builder(Arc::clone(&plan))
             .shards(shards)
             .queue_capacity(256)
-            .batching(BatchingConfig {
-                max_batch: 4,
-                max_wait: Duration::from_millis(2),
-            })
+            .batching(BatchingConfig { max_batch: 4 })
             .restart_budget(16)
             .restart_backoff(Duration::from_millis(1))
             .start();
@@ -243,10 +240,7 @@ fn panic_storm_on_single_shard_resolves_every_request() {
     let server = Server::builder(Arc::clone(&plan))
         .shards(1)
         .queue_capacity(64)
-        .batching(BatchingConfig {
-            max_batch: 2,
-            max_wait: Duration::from_millis(1),
-        })
+        .batching(BatchingConfig { max_batch: 2 })
         .restart_budget(8)
         .restart_backoff(Duration::from_millis(1))
         .start();

@@ -3,7 +3,6 @@
 //! server must be an execution strategy — never a model change.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mn_data::presets::{cifar10_sim, Scale};
 use mn_ensemble::engine::{EngineError, EnginePlan, ExecPolicy, InferenceEngine};
@@ -118,10 +117,7 @@ fn server_answers_match_direct_engine_bitwise() {
 
     let server = Server::start(
         InferenceEngine::new(mixed_members(11), 4).unwrap(),
-        BatchingConfig {
-            max_batch: 5,
-            max_wait: Duration::from_millis(1),
-        },
+        BatchingConfig { max_batch: 5 },
     );
     let n = x.shape().dim(0);
     let row = x.len() / n;
@@ -238,13 +234,7 @@ fn data_parallel_engine_behind_server_stays_exact() {
 
     let mut sharded = InferenceEngine::new(mixed_members(19), 2).unwrap();
     sharded.set_policy(ExecPolicy::DataParallel { shards: 3 });
-    let server = Server::start(
-        sharded,
-        BatchingConfig {
-            max_batch: 6,
-            max_wait: Duration::from_millis(20),
-        },
-    );
+    let server = Server::start(sharded, BatchingConfig { max_batch: 6 });
     let n = x.shape().dim(0);
     let row = x.len() / n;
     let k = expected.shape().dim(1);
@@ -281,10 +271,7 @@ fn multi_shard_server_over_shared_plan_is_bitwise_exact() {
     for shards in [2usize, 4] {
         let server = Server::builder(Arc::clone(&plan))
             .shards(shards)
-            .batching(BatchingConfig {
-                max_batch: 3,
-                max_wait: Duration::from_millis(1),
-            })
+            .batching(BatchingConfig { max_batch: 3 })
             .start();
         assert_eq!(server.num_shards(), shards);
         let n = x.shape().dim(0);
@@ -358,10 +345,7 @@ fn overloaded_server_rejects_typed_and_recovers() {
     let server = Server::builder(plan)
         .shards(1)
         .queue_capacity(3)
-        .batching(BatchingConfig {
-            max_batch: 2,
-            max_wait: Duration::ZERO,
-        })
+        .batching(BatchingConfig { max_batch: 2 })
         .start();
     let x = Tensor::zeros([3, 8, 8]);
     let mut admitted = Vec::new();
@@ -396,12 +380,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
     let plan = EnginePlan::new(mixed_members(31), 4).unwrap().into_shared();
     let server = Server::builder(plan)
         .shards(2)
-        .batching(BatchingConfig {
-            max_batch: 64,
-            // A window long enough that requests are still coalescing
-            // when shutdown lands.
-            max_wait: Duration::from_millis(250),
-        })
+        .batching(BatchingConfig { max_batch: 64 })
         .start();
     let pending: Vec<_> = (0..10)
         .map(|_| server.submit(&Tensor::zeros([3, 8, 8])).unwrap())
